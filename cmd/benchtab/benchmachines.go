@@ -115,9 +115,10 @@ func appendTrajectoryPoint(path string, f machine.BenchFile, ciphers []machine.C
 	return 0
 }
 
-// timeHammerLoop measures one activation's cost on the machine: two
-// attacker pages hammered in the translation-cached loop, the same
-// primitive every templating and re-hammer phase spends its time in.
+// timeHammerLoop measures the effective cost of one activation on the
+// machine: a same-bank double-sided pair hammered through HammerLoop, the
+// same primitive every templating and re-hammer phase spends its time in,
+// with steady rounds advancing in bulk wherever the device allows it.
 // The workload comes from machine.NewHammerBench, shared with
 // BenchmarkHammerLoopPerMachine so snapshot and benchmark cannot drift.
 func timeHammerLoop(ms machine.Spec) (float64, error) {

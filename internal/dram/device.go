@@ -134,6 +134,11 @@ type Device struct {
 	stats          DeviceStats
 	flipLog        []Flip
 	flipLogEnabled bool
+
+	// HammerCycle's scratch, reused so steady-state hammering allocates
+	// nothing: the cycle's resolved bank groups and its disturbance plan.
+	cycleBanks []int
+	cycleRows  []cycleRow
 }
 
 // DeviceStats aggregates activity counters for reporting.
@@ -343,25 +348,30 @@ func (d *Device) MaterializedBytes() uint64 { return d.data.materializedBytes() 
 // activate opens the row containing a, charging disturbance to neighbours if
 // the access is a row conflict (the hammering primitive).
 func (d *Device) activate(a Addr) {
-	bg := d.mapper.BankGroup(a)
-	if d.openRow[bg] == a.Row {
+	d.activateAt(d.mapper.BankGroup(a), a.Row)
+}
+
+// activateAt is activate with the bank group already resolved: the
+// per-activation reference path HammerCycle replays rounds through.
+func (d *Device) activateAt(bg, row int) {
+	if d.openRow[bg] == row {
 		d.stats.RowHits++
 		return
 	}
-	d.openRow[bg] = a.Row
+	d.openRow[bg] = row
 	d.stats.Activations++
 	d.sinceRefresh++
 
 	if d.trr != nil {
-		d.trrObserve(bg, a.Row)
+		d.trrObserve(bg, row)
 	}
 
 	// Disturb neighbours at distance 1 (weight 1.0) and 2 (NeighbourWeight).
-	d.addDisturb(bg, a.Row-1, 1.0)
-	d.addDisturb(bg, a.Row+1, 1.0)
+	d.addDisturb(bg, row-1, 1.0)
+	d.addDisturb(bg, row+1, 1.0)
 	if d.model.NeighbourWeight > 0 {
-		d.addDisturb(bg, a.Row-2, d.model.NeighbourWeight)
-		d.addDisturb(bg, a.Row+2, d.model.NeighbourWeight)
+		d.addDisturb(bg, row-2, d.model.NeighbourWeight)
+		d.addDisturb(bg, row+2, d.model.NeighbourWeight)
 	}
 
 	if d.sinceRefresh >= d.model.RefreshInterval {
@@ -642,13 +652,6 @@ func (d *Device) rearmRange(lo, hi uint64) {
 // primitive (a read with the result discarded).
 func (d *Device) ActivateRow(pa uint64) {
 	d.activate(d.mapper.ToDRAM(pa))
-}
-
-// ActivateAddr opens the row at pre-resolved DRAM coordinates.  Hammer loops
-// translate their aggressor addresses once and then issue millions of
-// activations, so skipping the per-access ToDRAM matters.
-func (d *Device) ActivateAddr(a Addr) {
-	d.activate(a)
 }
 
 // WeakCellsInRange reports the weak cells whose physical byte address falls

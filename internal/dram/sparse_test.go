@@ -30,8 +30,8 @@ func TestStoreBasics(t *testing.T) {
 	if got := s.materializedBytes(); got != 0 {
 		t.Fatalf("zero writes materialised %d bytes", got)
 	}
-	// ...while distinguishing writes materialise exactly one chunk.
-	s.set(storeChunkBytes+7, 0x5A)
+	// ...while distinguishing bulk writes materialise exactly one chunk.
+	s.write(storeChunkBytes+7, []byte{0x5A})
 	if got := s.materializedBytes(); got != storeChunkBytes {
 		t.Fatalf("materialised %d bytes, want one chunk (%d)", got, storeChunkBytes)
 	}
@@ -39,7 +39,7 @@ func TestStoreBasics(t *testing.T) {
 		t.Fatalf("read-back %#x", v)
 	}
 	// The tail chunk is sized to the store, not the chunk granule.
-	s.set(3*storeChunkBytes+99, 1)
+	s.write(3*storeChunkBytes+99, []byte{1})
 	if got := s.materializedBytes(); got != storeChunkBytes+100 {
 		t.Fatalf("tail chunk: materialised %d bytes, want %d", got, storeChunkBytes+100)
 	}
@@ -62,7 +62,7 @@ func TestStoreCrossChunkRanges(t *testing.T) {
 		if pa+n > size {
 			n = size - pa
 		}
-		switch rng.Intn(3) {
+		switch rng.Intn(5) {
 		case 0:
 			data := make([]byte, n)
 			rng.Bytes(data)
@@ -82,6 +82,21 @@ func TestStoreCrossChunkRanges(t *testing.T) {
 			for j := uint64(0); j < n; j++ {
 				dense[pa+j] = v
 			}
+		case 3: // single-byte stores and flips, mostly into few-byte chunks
+			for j := uint64(0); j < n%64; j++ {
+				b := pa + uint64(rng.Intn(int(n)))
+				v := byte(rng.Intn(3))
+				if rng.Intn(2) == 0 {
+					s.set(b, v)
+					dense[b] = v
+				} else {
+					s.xor(b, v)
+					dense[b] ^= v
+				}
+				if s.load(b) != dense[b] {
+					t.Fatalf("iteration %d: load(%d) = %#x, want %#x", i, b, s.load(b), dense[b])
+				}
+			}
 		case 2:
 			got := make([]byte, n)
 			rng.Bytes(got) // dirty the buffer: read must fully overwrite
@@ -94,6 +109,38 @@ func TestStoreCrossChunkRanges(t *testing.T) {
 	for pa := uint64(0); pa < size; pa++ {
 		if s.load(pa) != dense[pa] {
 			t.Fatalf("final sweep: byte %d is %#x, want %#x", pa, s.load(pa), dense[pa])
+		}
+	}
+}
+
+// Single-byte stores into an untouched chunk stay a short list — a page
+// touching sweep materialises nothing — until fewMax of them, and the
+// chunk then materialises holding every byte stored so far.
+func TestStoreFewBytes(t *testing.T) {
+	s := newStore(2 * storeChunkBytes)
+	for i := 0; i < fewMax; i++ {
+		s.set(uint64(i)*4096/2+1, byte(i+1))
+	}
+	s.set(5, 0) // the fill pattern into an untouched byte: nothing to record
+	if got := s.materializedBytes(); got != 0 {
+		t.Fatalf("%d single-byte stores materialised %d bytes", fewMax, got)
+	}
+	s.set(1, 0) // forgetting one makes room for another
+	s.set(storeChunkBytes-1, 0xEE)
+	if got := s.materializedBytes(); got != 0 {
+		t.Fatalf("a replaced store materialised %d bytes", got)
+	}
+	s.set(3, 0x33)
+	if got := s.materializedBytes(); got != storeChunkBytes {
+		t.Fatalf("store %d materialised %d bytes, want one chunk", fewMax+1, got)
+	}
+	want := map[uint64]byte{1: 0, 3: 0x33, storeChunkBytes - 1: 0xEE}
+	for i := 1; i < fewMax; i++ {
+		want[uint64(i)*4096/2+1] = byte(i + 1)
+	}
+	for pa, v := range want {
+		if got := s.load(pa); got != v {
+			t.Fatalf("byte %d: %#x, want %#x", pa, got, v)
 		}
 	}
 }

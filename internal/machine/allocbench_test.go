@@ -69,3 +69,30 @@ func TestLargeDeviceConstructionIsSparse(t *testing.T) {
 		t.Errorf("read-back %#x, want 0xA5", v)
 	}
 }
+
+// The shared hammer bench must time disturbance, not row-buffer hits: on
+// every registered machine its two aggressors share a bank on different
+// rows, so each round of HammerLoop is two activations and no row hit.
+func TestHammerBenchPairActivates(t *testing.T) {
+	const rounds = 100_000
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			m, proc, vas, err := newHammerBench(MustGet(name), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dev := m.DRAM()
+			before := dev.Stats()
+			if err := proc.HammerLoop(vas, rounds); err != nil {
+				t.Fatal(err)
+			}
+			after := dev.Stats()
+			if got := after.Activations - before.Activations; got != 2*rounds {
+				t.Errorf("activations %d, want %d", got, 2*rounds)
+			}
+			if got := after.RowHits - before.RowHits; got != 0 {
+				t.Errorf("row hits %d, want 0", got)
+			}
+		})
+	}
+}
