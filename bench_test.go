@@ -556,8 +556,8 @@ func BenchmarkHammerLoopSteadyState(b *testing.B) {
 }
 
 // BenchmarkHammerLoopPerMachine times the translation-cached hammer loop on
-// every registered machine profile — the in-tree counterpart of the
-// BENCH_machines.json snapshot benchtab emits (interface-dispatched mapper,
+// every registered machine profile — the in-tree counterpart of the hammer
+// rows benchtab appends to the bench trajectory (interface-dispatched mapper,
 // TRR sampling and geometry differences all land in this number).
 func BenchmarkHammerLoopPerMachine(b *testing.B) {
 	for _, name := range machine.Names() {

@@ -16,19 +16,15 @@ import (
 // to amortise setup, small enough that timing five profiles stays seconds.
 const hammerTimingActivations = 400_000
 
-// runBenchMachines re-times every registered machine profile — the raw
+// runAppendTrajectory re-times every registered machine profile — the raw
 // HammerLoop activation cost through the full kernel/DRAM stack, and one
-// seed-1 end-to-end attack trial — and writes the machine.BenchFile
-// snapshot.  Timings are host-dependent by nature; the snapshot anchors
-// the bench trajectory and its *shape* is what CI checks.  With a
-// trajectory path, the same entries are additionally appended as one
-// timestamped point to the append-only history.
-func runBenchMachines(path, trajectoryPath string) int {
-	f := machine.BenchFile{
-		Schema: machine.BenchSchema,
-		Note:   "regenerate with: go run ./cmd/benchtab -bench-machines BENCH_machines.json",
-		Host:   fmt.Sprintf("%s/%s, %d cpus", runtime.GOOS, runtime.GOARCH, runtime.NumCPU()),
-	}
+// seed-1 end-to-end attack trial — plus the cipher cores and the cache-probe
+// loops, and appends the run as one timestamped point to the append-only
+// trajectory at path.  Timings are host-dependent by nature; the point's
+// shape and registry coverage are what CI checks.
+func runAppendTrajectory(path string) int {
+	host := fmt.Sprintf("%s/%s, %d cpus", runtime.GOOS, runtime.GOARCH, runtime.NumCPU())
+	var entries []machine.BenchEntry
 	for _, name := range machine.Names() {
 		ms := machine.MustGet(name)
 		entry := machine.BenchEntry{Machine: name, Mapper: ms.MapperName(), MiB: ms.Geometry.TotalBytes() >> 20}
@@ -52,52 +48,33 @@ func runBenchMachines(path, trajectoryPath string) int {
 
 		fmt.Fprintf(os.Stderr, "%-14s %6.1f ns/act, attack trial %8.1f ms (key recovered: %v)\n",
 			name, entry.HammerNsPerActivation, entry.AttackTrialMs, entry.KeyRecovered)
-		f.Entries = append(f.Entries, entry)
+		entries = append(entries, entry)
 	}
-	data, err := f.EncodeJSON()
+	ciphers, err := machine.MeasureCipherCores()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	for _, e := range ciphers {
+		fmt.Fprintf(os.Stderr, "%-14s %7.1f ns/encryption scalar, %6.1f bitsliced (%d lanes, %.1fx)\n",
+			e.Cipher, e.ScalarNsPerEncryption, e.BitslicedNsPerEncryption, e.Lanes,
+			e.ScalarNsPerEncryption/e.BitslicedNsPerEncryption)
+	}
+	probes, err := machine.MeasureProbeLoops()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%d profiles)\n", path, len(f.Entries))
-	if trajectoryPath != "" {
-		ciphers, err := machine.MeasureCipherCores()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		for _, e := range ciphers {
-			fmt.Fprintf(os.Stderr, "%-14s %7.1f ns/encryption scalar, %6.1f bitsliced (%d lanes, %.1fx)\n",
-				e.Cipher, e.ScalarNsPerEncryption, e.BitslicedNsPerEncryption, e.Lanes,
-				e.ScalarNsPerEncryption/e.BitslicedNsPerEncryption)
-		}
-		probes, err := machine.MeasureProbeLoops()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		for _, e := range probes {
-			fmt.Fprintf(os.Stderr, "%-14s %7.1f ns/probe measurement\n", e.Technique, e.NsPerMeasurement)
-		}
-		return appendTrajectoryPoint(trajectoryPath, f, ciphers, probes)
+	for _, e := range probes {
+		fmt.Fprintf(os.Stderr, "%-14s %7.1f ns/probe measurement\n", e.Technique, e.NsPerMeasurement)
 	}
-	return 0
-}
 
-// appendTrajectoryPoint extends (or starts) the append-only trajectory with
-// the machine entries, cipher-core timings and cache-probe timings of a
-// just-completed bench run.
-func appendTrajectoryPoint(path string, f machine.BenchFile, ciphers []machine.CipherBenchEntry, probes []machine.ProbeBenchEntry) int {
 	prev, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	out, err := machine.AppendPoint(prev, f.Host, f.Entries, ciphers, probes, time.Now())
+	out, err := machine.AppendPoint(prev, host, entries, ciphers, probes, time.Now())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -120,7 +97,7 @@ func appendTrajectoryPoint(path string, f machine.BenchFile, ciphers []machine.C
 // same primitive every templating and re-hammer phase spends its time in,
 // with steady rounds advancing in bulk wherever the device allows it.
 // The workload comes from machine.NewHammerBench, shared with
-// BenchmarkHammerLoopPerMachine so snapshot and benchmark cannot drift.
+// BenchmarkHammerLoopPerMachine so trajectory and benchmark cannot drift.
 func timeHammerLoop(ms machine.Spec) (float64, error) {
 	proc, vas, err := machine.NewHammerBench(ms, 1)
 	if err != nil {
@@ -139,23 +116,6 @@ func timeHammerLoop(ms machine.Spec) (float64, error) {
 		return 0, err
 	}
 	return float64(time.Since(start).Nanoseconds()) / float64(rounds*len(vas)), nil
-}
-
-// runCheckBenchMachines is the CI smoke: the checked-in snapshot must
-// strictly parse and name only registered machines.
-func runCheckBenchMachines(path string) int {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	f, err := machine.ParseBenchFile(data)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	fmt.Fprintf(os.Stderr, "%s: schema %d, %d profiles, ok\n", path, f.Schema, len(f.Entries))
-	return 0
 }
 
 // runCheckTrajectory is the CI regression gate: the checked-in trajectory

@@ -9,19 +9,19 @@
 //	explframe list [-machines]   list scenario/cache presets, machines, ciphers
 //	explframe describe <what>    print a preset's, spec file's or machine's JSON
 //	explframe describe machine <name>  print one machine profile's JSON
-//	explframe [flags]            legacy alias for run (with -trials > 1: sweep)
 //
-// Scenarios come from three equivalent sources: legacy flags (-cipher,
-// -noise, -trr, ...), built-in presets (see `explframe list`), and JSON
-// spec files (-scenario spec.json).  All three construct the same
-// scenario.Spec and share one execution path, so
-// `explframe run -scenario spec.json` reproduces the byte-identical report
-// of the equivalent flag invocation.  The machine the scenario runs on is
-// an open axis: -machine selects any registered profile (see
-// `explframe list -machines`), and spec files may embed an inline machine.
+// Scenarios come from three equivalent sources: flags (-cipher, -noise,
+// -trr, ...), built-in presets (see `explframe list`), and JSON spec files
+// (-scenario spec.json).  All three construct the same scenario.Spec and
+// share one execution path, so `explframe run -scenario spec.json`
+// reproduces the byte-identical report of the equivalent flag invocation.
+// The machine the scenario runs on is an open axis: -machine selects any
+// registered profile (see `explframe list -machines`), and spec files may
+// embed an inline machine.
 //
 // Exit codes: 0 success, 1 attack failed (key not recovered) or simulator
-// error, 2 usage/validation error.
+// error, 2 usage/validation error (bare flags without a subcommand
+// included).
 package main
 
 import (
@@ -50,9 +50,8 @@ func main() {
 			os.Exit(0)
 		}
 	}
-	// Bare legacy invocation: flags only, no subcommand.  -trials > 1 keeps
-	// its historical meaning of a sweep.
-	os.Exit(cmdLegacy(args))
+	usage(os.Stderr)
+	os.Exit(2)
 }
 
 func usage(w *os.File) {
@@ -80,10 +79,8 @@ Scenario sources (run and sweep):
   -machine NAME         run on a registered machine profile (see
                         'explframe list -machines'), overriding the spec's
                         profile or inline machine
-  (flags only)          the classic flag interface builds the same spec
+  (flags only)          the flags alone build the same spec
 
-Run 'explframe <subcommand> -h' for the flag list.  Invoking explframe with
-bare flags and no subcommand behaves exactly like 'run' (or 'sweep' when
--trials > 1), so existing scripts keep working.
+Run 'explframe <subcommand> -h' for the flag list.
 `)
 }

@@ -112,52 +112,9 @@ func runSummary(ctx context.Context, spec scenario.Spec, parallel int) int {
 		fmt.Fprintf(os.Stderr, "scenario error: %v\n", err)
 		return 1
 	}
-	switch spec.Kind {
-	case scenario.Attack:
-		st := res.AttackStats()
-		fmt.Printf("  site found:    %d/%d (%.3f)\n", st.Site.Successes, st.Site.Trials, st.Site.Rate())
-		fmt.Printf("  steering hit:  %d/%d (%.3f)\n", st.Steer.Successes, st.Steer.Trials, st.Steer.Rate())
-		fmt.Printf("  fault planted: %d/%d (%.3f)\n", st.Fault.Successes, st.Fault.Trials, st.Fault.Rate())
-		fmt.Printf("  key recovered: %d/%d (%.3f)\n", st.Key.Successes, st.Key.Trials, st.Key.Rate())
-		if st.Ciphertexts.N() > 0 {
-			fmt.Printf("  ciphertexts to recovery: %s\n", st.Ciphertexts.String())
-		}
-		if st.Key.Successes == 0 {
-			return 1
-		}
-	case scenario.Steering:
-		st := res.SteeringStats()
-		fmt.Printf("  first-page steering: %d/%d (%.3f)\n", st.FirstPage.Successes, st.FirstPage.Trials, st.FirstPage.Rate())
-		fmt.Printf("  planted frames reused anywhere: mean %.2f\n", st.PlantedReused.Mean())
-	case scenario.Baseline:
-		st := res.BaselineStats()
-		fmt.Printf("  table corrupted: %d/%d (%.3f)\n", st.Corrupted.Successes, st.Corrupted.Trials, st.Corrupted.Rate())
-		fmt.Printf("  neighbour rows owned in %d/%d trials\n", st.NeighboursOwned, st.Corrupted.Trials)
-	case scenario.PFA:
-		st := res.PFAStats()
-		fmt.Printf("  last-round key recovered: %d/%d (%.3f)\n", st.Recovered.Successes, st.Recovered.Trials, st.Recovered.Rate())
-		fmt.Printf("  master key verified:      %d/%d (%.3f)\n", st.MasterOK.Successes, st.MasterOK.Trials, st.MasterOK.Rate())
-		if st.Ciphertexts.N() > 0 {
-			fmt.Printf("  ciphertexts to recovery: %s\n", st.Ciphertexts.String())
-		}
-	case scenario.DFA:
-		st := res.DFAStats()
-		fmt.Printf("  fault model: %s\n", spec.FaultModel().Name())
-		fmt.Printf("  unique key recovered: %d/%d (%.3f)\n", st.Recovered.Successes, st.Recovered.Trials, st.Recovered.Rate())
-		fmt.Printf("  master key verified:  %d/%d (%.3f)\n", st.MasterOK.Successes, st.MasterOK.Trials, st.MasterOK.Rate())
-		if st.Pairs.N() > 0 {
-			fmt.Printf("  pairs to recovery: %s\n", st.Pairs.String())
-		}
-		fmt.Printf("  surviving key space: mean %.1f bits\n", st.KeySpaceBits.Mean())
-	case scenario.CacheProbe:
-		st := res.CacheProbeStats()
-		fmt.Printf("  technique: %s\n", spec.Probe.Technique)
-		fmt.Printf("  full first-round key: %d/%d (%.3f)\n", st.FullKey.Successes, st.FullKey.Trials, st.FullKey.Rate())
-		fmt.Printf("  key nibbles recovered: mean %.1f\n", st.Nibbles.Mean())
-		fmt.Printf("  bytes leaked: mean %.1f\n", st.BytesLeaked.Mean())
-		if st.BitErrorRate.N() > 0 {
-			fmt.Printf("  channel bit-error rate: mean %.3f\n", st.BitErrorRate.Mean())
-		}
+	res.WriteSummary(os.Stdout)
+	if spec.Kind == scenario.Attack && res.AttackStats().Key.Successes == 0 {
+		return 1
 	}
 	return 0
 }
@@ -167,18 +124,4 @@ func verdict(b bool) string {
 		return "HIT"
 	}
 	return "miss"
-}
-
-// cmdLegacy preserves the historical flag-only interface: a single run, or
-// a sweep when -trials > 1.
-func cmdLegacy(args []string) int {
-	probe := newFlags("explframe")
-	probe.fs.SetOutput(os.Stderr)
-	if code, ok := probe.parse(args); !ok {
-		return code
-	}
-	if probe.trials > 1 {
-		return cmdSweep(args)
-	}
-	return cmdRun(args)
 }

@@ -18,7 +18,7 @@ import (
 // stderr; the rendered table is byte-identical at any -parallel value (the
 // repo's determinism contract).  SIGINT cancels the campaign mid-flight.
 // A single attack-kind scenario renders the per-phase table and exits 1
-// when no trial recovered the key (legacy behaviour scripts rely on);
+// when no trial recovered the key (scripts branch on it);
 // multi-spec campaigns render one row per scenario and exit 0 unless a
 // spec errors.  Duplicate specs in a campaign file are run as written —
 // only warned about — since the file is the user's explicit request.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"explframe/internal/core"
 	"explframe/internal/harness"
 	"explframe/internal/report"
 	"explframe/internal/scenario"
@@ -89,33 +88,37 @@ func E14PCPPolicy(seed uint64, opts ...harness.Option) (*Table, error) {
 	}
 	const trials = 25
 
-	cell := 0
+	type case_ struct {
+		fifo  bool
+		pages int
+	}
+	var cases []case_
+	camp := scenario.Campaign{Name: "E14"}
 	for _, fifo := range []bool{false, true} {
 		for _, pages := range []int{1, 4, 16} {
-			cfg := core.DefaultSteeringConfig()
-			cfg.Machine = smallMachine(seed)
-			cfg.Machine.PCPFIFO = fifo
-			cfg.Seed = stats.DeriveSeed(seed, label(14, uint64(cell)))
-			cfg.VictimRequestPages = pages
-			cell++
-			results, err := core.RunSteeringTrials(cfg, trials, opts...)
-			if err != nil {
-				return nil, err
-			}
-			var first stats.Proportion
-			var anywhere stats.Summary
-			for _, res := range results {
-				first.Observe(res.FirstPageHit)
-				anywhere.Observe(float64(res.PlantedReused))
-			}
-			policy := "LIFO (Linux)"
+			spec := scenario.New(scenario.WithKind(scenario.Steering), scenario.WithTrials(trials),
+				scenario.WithSeed(stats.DeriveSeed(seed, label(14, uint64(len(cases))))), scenario.WithVictimPages(pages))
 			if fifo {
-				policy = "FIFO (ablated)"
+				spec = spec.With(scenario.WithPCPFIFO())
 			}
-			t.AddRow(
-				report.Str(policy), report.Int(pages), f3(first.Rate()), f3(anywhere.Mean()),
-			)
+			cases = append(cases, case_{fifo, pages})
+			camp.Specs = append(camp.Specs, spec)
 		}
+	}
+	results, err := camp.Run(context.Background(), scenario.WithTrialOptions(opts...))
+	if err != nil {
+		return nil, err
+	}
+	for ci, res := range results {
+		c := cases[ci]
+		st := res.SteeringStats()
+		policy := "LIFO (Linux)"
+		if c.fifo {
+			policy = "FIFO (ablated)"
+		}
+		t.AddRow(
+			report.Str(policy), report.Int(c.pages), f3(st.FirstPage.Rate()), f3(st.PlantedReused.Mean()),
+		)
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("%d trials per row", trials),

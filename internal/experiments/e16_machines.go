@@ -54,9 +54,9 @@ func E16Machines(seed uint64, opts ...harness.Option) (*Table, error) {
 		ms := machine.MustGet(name)
 		st := res.AttackStats()
 		var toSite stats.Summary
-		for _, rep := range res.Attack {
-			if rep.SiteFound {
-				toSite.Observe(float64(rep.TemplateHammer.Activations) / 1000)
+		for _, o := range res.Outcomes {
+			if o.Attack.SiteFound {
+				toSite.Observe(float64(o.Attack.TemplateHammer.Activations) / 1000)
 			}
 		}
 		acts, avg := report.Dash(), report.Dash()

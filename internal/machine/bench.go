@@ -1,9 +1,6 @@
 package machine
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
 
 	"explframe/internal/dram"
@@ -11,12 +8,8 @@ import (
 	"explframe/internal/vm"
 )
 
-// BenchSchema is the current BENCH_machines.json schema version; bump it
-// when the entry shape changes so stale snapshots fail parsing loudly.
-const BenchSchema = 1
-
-// BenchEntry is one machine profile's timing sample in the checked-in
-// BENCH_machines.json baseline (emitted by `benchtab -bench-machines`).
+// BenchEntry is one machine profile's timing sample in a bench trajectory
+// point (emitted by `benchtab -append-trajectory`).
 type BenchEntry struct {
 	// Machine is the registered profile name the sample was taken on.
 	Machine string `json:"machine"`
@@ -37,73 +30,15 @@ type BenchEntry struct {
 	KeyRecovered bool `json:"key_recovered"`
 }
 
-// BenchFile is the snapshot document: schema, provenance note and one
-// entry per machine profile.  The snapshot is a trajectory anchor, not a
-// golden — timings drift with hosts — so only its shape is CI-checked.
-type BenchFile struct {
-	// Schema is BenchSchema at emission time.
-	Schema int `json:"schema"`
-	// Note records how to regenerate the file.
-	Note string `json:"note"`
-	// Host describes the machine the sample was taken on (GOOS/GOARCH and
-	// CPU count — enough to judge comparability, no hostnames).
-	Host string `json:"host"`
-	// Entries holds one sample per registered machine profile.
-	Entries []BenchEntry `json:"entries"`
-}
-
-// ParseBenchFile strictly decodes and sanity-checks a BENCH_machines.json
-// document: known schema, at least one entry, every entry naming a
-// registered machine with positive timings.  The CI smoke and the repo's
-// parse test both go through here, so the checked-in snapshot can never
-// rot silently.
-func ParseBenchFile(data []byte) (BenchFile, error) {
-	var f BenchFile
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&f); err != nil {
-		return BenchFile{}, fmt.Errorf("machine: decode bench file: %w", err)
-	}
-	var errs []error
-	if f.Schema != BenchSchema {
-		errs = append(errs, fmt.Errorf("schema %d, want %d", f.Schema, BenchSchema))
-	}
-	if len(f.Entries) == 0 {
-		errs = append(errs, errors.New("no entries"))
-	}
-	for i, e := range f.Entries {
-		if _, ok := Get(e.Machine); !ok {
-			errs = append(errs, fmt.Errorf("entry %d: machine %q is not registered", i, e.Machine))
-		}
-		if e.HammerNsPerActivation <= 0 || e.AttackTrialMs <= 0 {
-			errs = append(errs, fmt.Errorf("entry %d (%s): non-positive timings (%g ns/act, %g ms)",
-				i, e.Machine, e.HammerNsPerActivation, e.AttackTrialMs))
-		}
-	}
-	if err := errors.Join(errs...); err != nil {
-		return BenchFile{}, fmt.Errorf("machine: bench file invalid: %w", err)
-	}
-	return f, nil
-}
-
-// EncodeJSON renders the bench file as indented JSON.
-func (f BenchFile) EncodeJSON() ([]byte, error) {
-	data, err := json.MarshalIndent(f, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
-}
-
 // HammerBenchPages is the size of the shared hammer-timing workload's
 // touched buffer, from which the two aggressor pages are picked.
 const HammerBenchPages = 64
 
-// NewHammerBench assembles the measurement harness behind both the
-// checked-in BENCH_machines.json snapshot (benchtab -bench-machines) and
+// NewHammerBench assembles the measurement harness behind both the bench
+// trajectory's hammer timings (benchtab -append-trajectory) and
 // BenchmarkHammerLoopPerMachine: one process on the machine with the
 // fixed touched buffer, returning the two aggressor addresses to drive
-// through HammerLoop.  Sharing the setup keeps the snapshot and the
+// through HammerLoop.  Sharing the setup keeps the trajectory and the
 // in-tree benchmark measuring the same workload.
 func NewHammerBench(ms Spec, seed uint64) (*kernel.Process, []vm.VirtAddr, error) {
 	_, proc, vas, err := newHammerBench(ms, seed)

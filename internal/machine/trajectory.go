@@ -15,7 +15,7 @@ import (
 const TrajectorySchema = 1
 
 // TrajectoryPoint is one timestamped performance sample: the full set of
-// per-machine bench entries measured in a single `benchtab -bench-machines
+// per-machine bench entries measured in a single `benchtab
 // -append-trajectory` run.
 type TrajectoryPoint struct {
 	// Time is the sample time, RFC 3339 in UTC.
@@ -23,7 +23,7 @@ type TrajectoryPoint struct {
 	// Host describes the sampling machine (GOOS/GOARCH, CPU count).
 	Host string `json:"host"`
 	// Entries holds one sample per machine profile registered at the time
-	// the point was taken, in the same shape as BENCH_machines.json.
+	// the point was taken.
 	Entries []BenchEntry `json:"entries"`
 	// Ciphers holds one cipher-core timing sample per cipher registered at
 	// the time the point was taken (scalar vs bitsliced ns/encryption).
@@ -37,10 +37,9 @@ type TrajectoryPoint struct {
 	Probes []ProbeBenchEntry `json:"probes,omitempty"`
 }
 
-// TrajectoryFile is the append-only performance history: where
-// BENCH_machines.json is a single mutable snapshot, the trajectory keeps
-// every appended point so regressions show up as a bend in the curve
-// rather than silently replacing the baseline.
+// TrajectoryFile is the append-only performance history: it keeps every
+// appended point so regressions show up as a bend in the curve rather than
+// silently replacing a baseline.
 type TrajectoryFile struct {
 	// Schema is TrajectorySchema at emission time.
 	Schema int `json:"schema"`
@@ -51,7 +50,7 @@ type TrajectoryFile struct {
 }
 
 // trajectoryNote is written into fresh trajectory files.
-const trajectoryNote = "append-only; extend with: go run ./cmd/benchtab -bench-machines BENCH_machines.json -append-trajectory BENCH_trajectory.json"
+const trajectoryNote = "append-only; extend with: go run ./cmd/benchtab -append-trajectory BENCH_trajectory.json"
 
 // ParseTrajectoryFile strictly decodes and shape-checks a trajectory
 // document: known schema, at least one point, strictly increasing RFC 3339

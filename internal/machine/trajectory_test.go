@@ -55,7 +55,7 @@ func sampleProbes() []ProbeBenchEntry {
 func TestCheckedInTrajectoryParses(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_trajectory.json"))
 	if err != nil {
-		t.Fatalf("missing bench trajectory (append with `go run ./cmd/benchtab -bench-machines BENCH_machines.json -append-trajectory BENCH_trajectory.json`): %v", err)
+		t.Fatalf("missing bench trajectory (append with `go run ./cmd/benchtab -append-trajectory BENCH_trajectory.json`): %v", err)
 	}
 	f, err := ParseTrajectoryFile(data)
 	if err != nil {

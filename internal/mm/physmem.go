@@ -375,7 +375,7 @@ func (pm *PhysMem) DrainCPU(cpu int) {
 }
 
 // PCPContents returns a copy of the CPU's page frame cache for a zone,
-// coldest first.  Diagnostic view used by tests and cmd/memsim.
+// coldest first.  Diagnostic view used by tests.
 func (pm *PhysMem) PCPContents(cpu int, zt ZoneType) []PFN {
 	if cpu < 0 || cpu >= pm.cfg.NumCPUs || pm.pcp[cpu][zt] == nil {
 		return nil

@@ -176,7 +176,7 @@ func TestRunPFAKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ref.PFA, par.PFA) {
+	if !reflect.DeepEqual(ref.Outcomes, par.Outcomes) {
 		t.Fatal("PFA results depend on worker count")
 	}
 }
@@ -200,7 +200,7 @@ func TestRunDFAKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ref.DFA, par.DFA) {
+	if !reflect.DeepEqual(ref.Outcomes, par.Outcomes) {
 		t.Fatal("DFA results depend on worker count")
 	}
 }

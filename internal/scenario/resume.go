@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"explframe/internal/cipher/registry"
 	"explframe/internal/core"
-	"explframe/internal/fault/dfa"
 	"explframe/internal/harness"
 	"explframe/internal/stats"
 )
@@ -35,21 +33,8 @@ type TrialOutcome struct {
 // the guard a checkpoint consumer runs before substituting a journaled
 // outcome for a recomputation.
 func (o TrialOutcome) Matches(kind Kind) bool {
-	switch kind {
-	case Attack:
-		return o.Attack != nil
-	case Steering:
-		return o.Steering != nil
-	case Baseline:
-		return o.Baseline != nil
-	case PFA:
-		return o.PFA != nil
-	case DFA:
-		return o.DFA != nil
-	case CacheProbe:
-		return o.CacheProbe != nil
-	}
-	return false
+	def, ok := lookupKind(kind)
+	return ok && def.has(o)
 }
 
 // Checkpoint maps spec hash -> trial index -> completed outcome: the
@@ -76,127 +61,13 @@ func (cp Checkpoint) Trials() int {
 	return n
 }
 
-// trialRunner builds the per-trial function of spec's kind.  Every kind's
-// body is the exact per-trial work the historical batch runners performed
-// (config re-seeded from the trial stream, then one pipeline run), so the
-// outcome of trial k is a pure function of (spec, k) — the property both
-// the golden tables and checkpoint resume depend on.
-func (s Spec) trialRunner(ctx context.Context) (func(trial int, rng *stats.RNG) (TrialOutcome, error), error) {
-	switch s.Kind {
-	case Attack:
-		cfg, err := s.AttackConfig()
-		if err != nil {
-			return nil, err
-		}
-		return func(_ int, rng *stats.RNG) (TrialOutcome, error) {
-			c := cfg
-			c.Seed = rng.Uint64()
-			atk, err := core.NewAttack(c)
-			if err != nil {
-				return TrialOutcome{}, err
-			}
-			rep, err := atk.RunContext(ctx)
-			if err != nil {
-				return TrialOutcome{}, err
-			}
-			return TrialOutcome{Attack: rep}, nil
-		}, nil
-	case Steering:
-		cfg := s.SteeringConfig()
-		return func(_ int, rng *stats.RNG) (TrialOutcome, error) {
-			c := cfg
-			c.Seed = rng.Uint64()
-			res, err := core.RunSteeringTrial(c)
-			if err != nil {
-				return TrialOutcome{}, err
-			}
-			return TrialOutcome{Steering: res}, nil
-		}, nil
-	case Baseline:
-		cfg, err := s.BaselineConfig()
-		if err != nil {
-			return nil, err
-		}
-		return func(_ int, rng *stats.RNG) (TrialOutcome, error) {
-			c := cfg
-			c.Seed = rng.Uint64()
-			res, err := core.RunBaselineTrial(c)
-			if err != nil {
-				return TrialOutcome{}, err
-			}
-			return TrialOutcome{Baseline: res}, nil
-		}, nil
-	case PFA:
-		c := registry.MustGet(s.cipherName())
-		budget := s.pfaBudget(c)
-		return func(_ int, rng *stats.RNG) (TrialOutcome, error) {
-			tr, err := runPFATrial(c, budget, rng)
-			if err != nil {
-				return TrialOutcome{}, err
-			}
-			return TrialOutcome{PFA: &tr}, nil
-		}, nil
-	case DFA:
-		c := registry.MustGet(s.cipherName())
-		a := dfa.MustGet(c.Name())
-		m := s.FaultModel()
-		budget := s.dfaBudget()
-		return func(_ int, rng *stats.RNG) (TrialOutcome, error) {
-			tr, err := runDFATrial(c, a, m, budget, rng)
-			if err != nil {
-				return TrialOutcome{}, err
-			}
-			return TrialOutcome{DFA: &tr}, nil
-		}, nil
-	case CacheProbe:
-		c := registry.MustGet(s.cipherName())
-		ms, err := s.MachineSpec()
-		if err != nil {
-			return nil, err
-		}
-		g := s.cacheGeometry()
-		cfg := s.probeConfig()
-		return func(_ int, rng *stats.RNG) (TrialOutcome, error) {
-			tr, err := runCacheProbeTrial(c, ms, g, cfg, rng)
-			if err != nil {
-				return TrialOutcome{}, err
-			}
-			return TrialOutcome{CacheProbe: &tr}, nil
-		}, nil
-	}
-	return nil, fmt.Errorf("scenario: no trial runner for kind %q", s.Kind)
-}
-
-// foldOutcomes assembles the kind-typed Result from per-trial outcomes in
-// trial order.
-func foldOutcomes(spec Spec, outs []TrialOutcome) *Result {
-	res := &Result{Spec: spec}
-	for _, o := range outs {
-		switch spec.Kind {
-		case Attack:
-			res.Attack = append(res.Attack, o.Attack)
-		case Steering:
-			res.Steering = append(res.Steering, o.Steering)
-		case Baseline:
-			res.Baseline = append(res.Baseline, o.Baseline)
-		case PFA:
-			res.PFA = append(res.PFA, *o.PFA)
-		case DFA:
-			res.DFA = append(res.DFA, *o.DFA)
-		case CacheProbe:
-			res.CacheProbe = append(res.CacheProbe, *o.CacheProbe)
-		}
-	}
-	return res
-}
-
 // RunResumable is Run with checkpoint resume and per-trial progress: trials
 // present in completed are merged into the result without recomputing (their
 // rng streams are never drawn from, so the remaining trials are unaffected),
 // and onTrial is invoked — serialized, in completion order — for every trial
 // actually computed this call, with its outcome.  Merged trials never reach
 // onTrial, so a journal fed by it records each trial exactly once across any
-// number of interrupted runs.  The folded Result is byte-identical to an
+// number of interrupted runs.  The Result is byte-identical to an
 // uninterrupted Run at any split, worker count or resume point.
 func RunResumable(ctx context.Context, spec Spec, completed map[int]TrialOutcome, onTrial func(trial int, out TrialOutcome), opts ...harness.Option) (*Result, error) {
 	if err := spec.Validate(); err != nil {
@@ -210,7 +81,8 @@ func RunResumable(ctx context.Context, spec Spec, completed map[int]TrialOutcome
 			return nil, fmt.Errorf("scenario %q: checkpointed trial %d does not carry a %s outcome", spec.Title(), i, spec.Kind)
 		}
 	}
-	run, err := spec.trialRunner(ctx)
+	def, _ := lookupKind(spec.Kind) // Validate accepted the kind
+	run, err := def.runner(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -230,7 +102,7 @@ func RunResumable(ctx context.Context, spec Spec, completed map[int]TrialOutcome
 		if out, ok := completed[i]; ok {
 			return out, nil
 		}
-		out, err := run(i, rng)
+		out, err := run(rng)
 		if err != nil {
 			return TrialOutcome{}, err
 		}
@@ -241,5 +113,5 @@ func RunResumable(ctx context.Context, spec Spec, completed map[int]TrialOutcome
 	if err != nil {
 		return nil, err
 	}
-	return foldOutcomes(spec, all), nil
+	return &Result{Spec: spec, Outcomes: all}, nil
 }

@@ -12,7 +12,7 @@
 // executes one spec's trials on the deterministic harness pool, and
 // Campaign fans a named grid of specs out through internal/harness with
 // cancellation and progress events.  Every frontend — cmd/explframe, the
-// E6/E8/E11/E13/E15 experiment drivers, future service endpoints —
+// E3/E6/E8/E11/E13–E18 experiment drivers, future service endpoints —
 // constructs the same Spec values and shares one execution path, so the
 // statistics a scenario produces are fixed by (spec, seed) alone.
 package scenario
@@ -25,10 +25,8 @@ import (
 	"os"
 	"strings"
 
-	"explframe/internal/cache"
 	"explframe/internal/cipher/registry"
 	"explframe/internal/fault"
-	"explframe/internal/fault/dfa"
 	"explframe/internal/machine"
 	"explframe/internal/stats"
 )
@@ -36,8 +34,8 @@ import (
 // Kind selects which trial pipeline a Spec drives.
 type Kind string
 
-// The five scenario kinds, one per trial pipeline in internal/core,
-// internal/fault/pfa and internal/fault/dfa.
+// The six scenario kinds.  Each is defined once, by a kindDef in the file
+// named after it (attack.go, steering.go, ...), and listed in kinds.
 const (
 	// Attack runs the full pipeline: template → plant → steer → re-hammer
 	// → persistent fault analysis.
@@ -383,11 +381,6 @@ var hammerModes = map[string]bool{
 	"": true, "single-sided": true, "double-sided": true, "many-sided": true,
 }
 
-// baselineModels lists the accepted BaselineModel strings.
-var baselineModels = map[string]bool{
-	"random-spray": true, "pagemap-targeted": true,
-}
-
 // Validate checks every field and returns all violations joined into one
 // error (errors.Join), so a config file with three mistakes reports three
 // mistakes.
@@ -397,10 +390,9 @@ func (s Spec) Validate() error {
 		errs = append(errs, fmt.Errorf(format, args...))
 	}
 
-	switch s.Kind {
-	case Attack, Steering, Baseline, PFA, DFA, CacheProbe:
-	default:
-		fail("kind: unknown %q (want attack, steering, baseline, pfa, dfa or cache-probe)", s.Kind)
+	def, known := lookupKind(s.Kind)
+	if !known {
+		fail("kind: unknown %q (want %s)", s.Kind, kindList())
 	}
 	if s.Machine != nil {
 		if s.Profile != "" {
@@ -416,8 +408,10 @@ func (s Spec) Validate() error {
 	}
 	if s.Trials <= 0 {
 		fail("trials: %d, want >= 1", s.Trials)
+	} else if s.Trials > maxTrials {
+		fail("trials: %d, want <= %d", s.Trials, maxTrials)
 	}
-	if s.Kind != Steering { // every other kind (known or not) names a victim
+	if def.cipher || !known { // an unknown kind still gets its cipher checked
 		if _, ok := registry.Get(s.cipherName()); !ok {
 			fail("cipher: unknown %q (registered: %s)", s.cipherName(), strings.Join(registry.Names(), ", "))
 		}
@@ -457,66 +451,20 @@ func (s Spec) Validate() error {
 	default:
 		fail("pcp: unknown policy %q (want lifo or fifo)", s.PCP)
 	}
-	if s.Kind == Baseline {
-		if !baselineModels[s.BaselineModel] {
-			fail("baseline: unknown model %q (want random-spray or pagemap-targeted)", s.BaselineModel)
-		}
-	} else if s.BaselineModel != "" {
+	// Fields only one kind reads are rejected on every other kind.
+	if s.BaselineModel != "" && s.Kind != Baseline {
 		fail("baseline: model %q set on kind %q (only kind baseline uses it)", s.BaselineModel, s.Kind)
 	}
-	if s.Kind == DFA {
-		a, ok := dfa.Get(s.cipherName())
-		if !ok {
-			fail("cipher: no DFA analyzer registered for %q (have: %s)", s.CipherName(), strings.Join(dfa.Names(), ", "))
-		}
-		if s.Fault != nil {
-			if err := s.Fault.Validate(); err != nil {
-				fail("fault: %w", err)
-			} else if ok {
-				if err := a.Supports(*s.Fault); err != nil {
-					fail("fault: %w", err)
-				}
-			}
-		}
-	} else if s.Fault != nil {
+	if s.Fault != nil && s.Kind != DFA {
 		fail("fault: model %q set on kind %q (only kind dfa uses it)", s.Fault.Name(), s.Kind)
 	}
-	if s.Kind == CacheProbe {
-		if s.Probe == nil {
-			fail("probe: required for kind cache-probe (technique: one of %s)", strings.Join(cache.Techniques(), ", "))
-		} else {
-			if !cache.KnownTechnique(s.Probe.Technique) {
-				fail("probe.technique: unknown %q (want %s)", s.Probe.Technique, strings.Join(cache.Techniques(), ", "))
-			}
-			if s.Probe.Noise < 0 || s.Probe.Noise >= 1 {
-				fail("probe.noise: %g, want within [0, 1)", s.Probe.Noise)
-			}
-			g := s.cacheGeometry()
-			if s.Probe.EvictionSet != 0 && s.Probe.EvictionSet < g.Ways {
-				fail("probe.eviction_set: %d lines cannot evict a %d-way set (0 inherits the associativity)",
-					s.Probe.EvictionSet, g.Ways)
-			}
-			if c, ok := registry.Get(s.cipherName()); ok {
-				if err := cache.Observable(c, g.LineBytes); err != nil {
-					fail("cipher: %w", err)
-				}
-			}
-		}
-	} else if s.Probe != nil {
+	if s.Probe != nil && s.Kind != CacheProbe {
 		fail("probe: technique %q set on kind %q (only kind cache-probe uses it)", s.Probe.Technique, s.Kind)
 	}
-	return errors.Join(errs...)
-}
-
-// cacheGeometry derives the LLC geometry of the machine the scenario runs
-// on (the scenario-layer policy: cache shape follows the machine's CPU
-// count, so machine specs stay unchanged and their hashes stable).
-func (s Spec) cacheGeometry() cache.Geometry {
-	cpus := 2
-	if ms, err := s.MachineSpec(); err == nil && ms.CPUs > 0 {
-		cpus = ms.CPUs
+	if known {
+		def.validate(s, fail)
 	}
-	return cache.DefaultGeometry(cpus)
+	return errors.Join(errs...)
 }
 
 // MachineSpec resolves the machine the scenario runs on: the inline spec
@@ -548,21 +496,6 @@ func (s Spec) MachineName() string {
 		return string(ProfileDefault)
 	}
 	return string(s.Profile)
-}
-
-// FaultModel resolves the fault model a DFA-kind scenario runs under: the
-// explicit Fault when set, otherwise the strongest rung of the cipher
-// analyzer's ladder.
-func (s Spec) FaultModel() fault.Model {
-	if s.Fault != nil {
-		return *s.Fault
-	}
-	if a, ok := dfa.Get(s.cipherName()); ok {
-		if l := a.Ladder(); len(l) > 0 {
-			return l[0]
-		}
-	}
-	return fault.New(fault.PreciseByte)
 }
 
 // cipherName resolves the cipher default.
@@ -603,10 +536,10 @@ func (s Spec) Name() string {
 	} else if p := s.Profile; p != "" && p != ProfileDefault {
 		fmt.Fprintf(&b, ":%s", p)
 	}
-	if s.Kind == Attack || s.Kind == PFA || s.Kind == Baseline || s.Kind == DFA || s.Kind == CacheProbe {
+	if def, ok := lookupKind(s.Kind); ok && def.cipher {
 		fmt.Fprintf(&b, ":%s", s.CipherName())
 	}
-	if s.Kind == Baseline {
+	if s.BaselineModel != "" {
 		fmt.Fprintf(&b, ":%s", s.BaselineModel)
 	}
 	fmt.Fprintf(&b, ":seed%d:x%d", s.Seed, s.Trials)

@@ -30,31 +30,8 @@ func CampaignTable(name string, results []*Result) *report.Table {
 		spec := res.Spec
 		var rate float64
 		var detail string
-		switch spec.Kind {
-		case Attack:
-			st := res.AttackStats()
-			rate = st.Key.Rate()
-			detail = fmt.Sprintf("site %.2f steer %.2f fault %.2f", st.Site.Rate(), st.Steer.Rate(), st.Fault.Rate())
-		case Steering:
-			st := res.SteeringStats()
-			rate = st.FirstPage.Rate()
-			detail = fmt.Sprintf("planted reused mean %.2f", st.PlantedReused.Mean())
-		case Baseline:
-			st := res.BaselineStats()
-			rate = st.Corrupted.Rate()
-			detail = fmt.Sprintf("neighbours owned %d/%d", st.NeighboursOwned, st.Corrupted.Trials)
-		case PFA:
-			st := res.PFAStats()
-			rate = st.MasterOK.Rate()
-			detail = fmt.Sprintf("last-round recovered %.2f", st.Recovered.Rate())
-		case DFA:
-			st := res.DFAStats()
-			rate = st.MasterOK.Rate()
-			detail = fmt.Sprintf("keyspace mean %.1f bits", st.KeySpaceBits.Mean())
-		case CacheProbe:
-			st := res.CacheProbeStats()
-			rate = st.FullKey.Rate()
-			detail = fmt.Sprintf("nibbles mean %.1f, leaked mean %.1f B", st.Nibbles.Mean(), st.BytesLeaked.Mean())
+		if def, ok := lookupKind(spec.Kind); ok {
+			rate, detail = def.headline(res)
 		}
 		t.AddRow(report.Str(spec.Title()), report.Str(string(spec.Kind)),
 			report.Int(spec.Trials), report.Float(rate, 3), report.Str(detail))

@@ -380,3 +380,25 @@ func TestServerRejectsBadSubmissions(t *testing.T) {
 		}
 	}
 }
+
+// A spec asking for more work than memory holds is refused at the door
+// with a 400, and the server keeps serving: huge trial counts and DFA pair
+// budgets would otherwise allocate their outcome slots or pairs up front
+// and kill the process.
+func TestServerRejectsOverLimitSubmissions(t *testing.T) {
+	_, c, stop := testServer(t, t.TempDir())
+	defer stop()
+	ctx := context.Background()
+	for _, body := range []string{
+		`{"kind":"pfa","cipher":"aes-128","trials":1099511627776}`,
+		`{"kind":"dfa","cipher":"aes-128","trials":1,"budget":1099511627776}`,
+	} {
+		data, err := c.do(ctx, "POST", "/v1/campaigns", []byte(body))
+		if err == nil || !strings.Contains(err.Error(), "400") {
+			t.Fatalf("submission %q: want 400, got %v (%s)", body, err, data)
+		}
+		if _, err := c.do(ctx, "GET", "/v1/healthz", nil); err != nil {
+			t.Fatalf("healthz after %q: %v", body, err)
+		}
+	}
+}
